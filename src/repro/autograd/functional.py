@@ -50,7 +50,7 @@ def gelu(x: Tensor) -> Tensor:
     t0 = p.clock() if p is not None else 0.0
     c = np.sqrt(2.0 / np.pi)
     xd = x.data
-    # The generic pow kernel makes ``x ** 3`` ~20x slower than two
+    # Cubing through the generic pow kernel is ~20x slower than two
     # multiplies; this op dominates expert-FFN wall time, so the
     # polynomial is built from muls with in-place chaining.
     inner = xd * xd

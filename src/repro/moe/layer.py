@@ -4,7 +4,9 @@ Composes the gating, capacity and encode/decode pieces into the full
 forward pass of Figure 2 (gate -> dispatch -> expert fflayer ->
 combine), without distribution.  The multi-rank version that exercises
 Flexible All-to-All lives in :mod:`repro.moe.distributed`; the
-trainable version with autograd lives in :mod:`repro.nn.moe`.
+trainable version with autograd lives in :mod:`repro.nn.moe`.  All of
+them run the experts through one kernel,
+:func:`repro.runtime.executor.ffn_forward_arrays`.
 """
 
 from __future__ import annotations
@@ -35,18 +37,6 @@ __all__ = [
     "MoEOutput",
     "moe_layer_forward",
 ]
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
-                                    * (x + 0.044715 * x ** 3)))
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-_ACTIVATIONS = {"relu": _relu, "gelu": _gelu}
 
 
 @dataclass
@@ -102,7 +92,9 @@ def expert_ffn(dispatched: np.ndarray, experts: ExpertParams,
                activation: str = "gelu") -> np.ndarray:
     """Apply each expert's fflayer to its capacity slice.
 
-    ``dispatched`` is ``(E, C, M)``; returns the same shape.
+    ``dispatched`` is ``(E, C, M)``; returns the same shape, in the
+    dtype NumPy promotes the input and weights to.  An unknown
+    ``activation`` raises the kernel's ``ValueError``.
     """
     if dispatched.ndim != 3:
         raise ValueError(f"dispatched must be (E, C, M), got "
@@ -111,14 +103,13 @@ def expert_ffn(dispatched: np.ndarray, experts: ExpertParams,
         raise ValueError(
             f"dispatched has {dispatched.shape[0]} experts, params have "
             f"{experts.num_experts}")
-    act = _ACTIVATIONS[activation]
-    hidden = np.einsum("ecm,emv->ecv", dispatched, experts.w1)
-    if experts.b1 is not None:
-        hidden = hidden + experts.b1[:, None, :]
-    hidden = act(hidden)
-    out = np.einsum("ecv,evm->ecm", hidden, experts.w2)
-    if experts.b2 is not None:
-        out = out + experts.b2[:, None, :]
+    # Deferred: repro.runtime's init imports repro.parallel, which imports us.
+    from repro.runtime.executor import ffn_forward_arrays
+    b1, b2 = experts.b1, experts.b2
+    out, _ = ffn_forward_arrays(
+        dispatched, experts.w1, experts.w2, activation,
+        b1=None if b1 is None else b1[:, None, :],
+        b2=None if b2 is None else b2[:, None, :])
     return out
 
 

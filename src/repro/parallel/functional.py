@@ -39,6 +39,7 @@ from repro.moe.layer import (
     _gate_logits,
     expert_ffn,
 )
+from repro.runtime.executor import ffn_forward_arrays
 
 __all__ = [
     "ShardedExpert",
@@ -68,14 +69,10 @@ class ShardedExpert:
     b1: np.ndarray | None   # (V/r,)
     b2_share: np.ndarray | None  # (M,), already divided by r
 
-    def forward(self, x: np.ndarray, activation) -> np.ndarray:
-        hidden = x @ self.w1
-        if self.b1 is not None:
-            hidden = hidden + self.b1
-        hidden = activation(hidden)
-        out = hidden @ self.w2
-        if self.b2_share is not None:
-            out = out + self.b2_share
+    def forward(self, x: np.ndarray, activation: str) -> np.ndarray:
+        """This shard's partial output for ``x`` of shape ``(C, M)``."""
+        out, _ = ffn_forward_arrays(x, self.w1, self.w2, activation,
+                                    b1=self.b1, b2=self.b2_share)
         return out
 
 
@@ -177,10 +174,6 @@ def p2_forward(rank_inputs: list[np.ndarray], params: MoELayerParams,
         raise ValueError(f"expected {w} rank inputs, got "
                          f"{len(rank_inputs)}")
     crits, buffers = _route_and_encode(rank_inputs, params, cfg)
-    act = {"relu": lambda h: np.maximum(h, 0.0)}.get(params.activation)
-    if act is None:
-        from repro.moe.layer import _gelu
-        act = _gelu
 
     # Local repeat + dispatch All-to-All: server rank (e0, j) receives
     # the same expert-e0 capacity slice from every source.
@@ -189,7 +182,7 @@ def p2_forward(rank_inputs: list[np.ndarray], params: MoELayerParams,
         tokens = np.concatenate([buf[e0] for buf in buffers])  # (C, M)
         for j, shard in enumerate(
                 shard_expert_columns(params.experts, e0, r)):
-            partials[e0 * r + j] = shard.forward(tokens, act)
+            partials[e0 * r + j] = shard.forward(tokens, params.activation)
 
     # Combine All-to-All + local sum reduction over the r shards.
     dc = cfg.capacity_per_gpu

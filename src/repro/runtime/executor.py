@@ -12,10 +12,14 @@ Protocol: every call copies the operand arrays into named shared-memory
 slabs, submits one ``(e0, e1)`` expert-range task per worker, and copies
 the result out.  Workers are **stateless** — the backward pass
 recomputes the hidden activations from the slabs (checkpointing-style)
-instead of shipping saved state between processes.  The serial fused
-path in :func:`repro.autograd.moe_ops.expert_ffn` calls the same
-:func:`ffn_forward_arrays` / :func:`ffn_backward_arrays` helpers, so
-serial and parallel execution agree numerically.
+instead of shipping saved state between processes.
+
+:func:`ffn_forward_arrays` is the repo's one expert-FFN forward kernel.
+The workers, the serial autograd op
+:func:`repro.autograd.moe_ops.expert_ffn`, the tape-free
+:func:`repro.moe.layer.expert_ffn` (single-process layer, distributed
+layer, P1, Fairseq baseline) and P2's column shards all call it, so
+every path agrees numerically.
 
 Enable via :func:`repro.core.substrate.set_expert_workers` (or the
 ``REPRO_EXPERT_WORKERS`` env var).  Serial is the default: at the toy
@@ -103,17 +107,23 @@ def _act_grad(h: np.ndarray, cache: np.ndarray | None,
 
 
 def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                       activation: str
+                       activation: str, b1: np.ndarray | None = None,
+                       b2: np.ndarray | None = None
                        ) -> tuple[np.ndarray, tuple]:
     """Fused expert FFN forward on raw arrays.
 
-    ``x`` is ``(E, dC, M)``, ``w1`` ``(E, M, V)``, ``w2`` ``(E, V, M)``;
-    returns ``(y, saved)`` where ``saved`` lets a same-process backward
-    skip the recompute.
+    ``x`` is ``(E, dC, M)``, ``w1`` ``(E, M, V)``, ``w2`` ``(E, V, M)``
+    (or 2-D, one expert); the optional biases broadcast against the
+    hidden / output and are added in place.  Returns ``(y, saved)``
+    where ``saved`` lets a same-process backward skip the recompute.
     """
     h = np.matmul(x, w1)
+    if b1 is not None:
+        h += b1
     a, cache = _act_forward(h, activation)
     y = np.matmul(a, w2)
+    if b2 is not None:
+        y += b2
     return y, (h, a, cache)
 
 

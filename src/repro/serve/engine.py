@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,6 +328,7 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
     deadline_ns = round(wl.slo.deadline_ms * 1e6)
     on_time = 0
 
+    arrivals = [r.arrival_ns for r in requests]  # sorted by arrival
     free_ns = 0
     start = 0
     batch_id = 0
@@ -335,8 +337,7 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
         t_batch0 = time.perf_counter()
         batch = former.next_batch(requests, start, free_ns, batch_id)
         end = start + len(batch.requests)
-        queue_depth = sum(1 for r in requests[end:]
-                          if r.arrival_ns <= batch.close_ns)
+        queue_depth = bisect_right(arrivals, batch.close_ns, lo=end) - end
 
         active = _brownout_active(wl, batch.close_ns)
         if active and not brownout_was_active and run is not None:

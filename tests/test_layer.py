@@ -1,5 +1,7 @@
 """Tests for the functional single-process MoE layer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,36 @@ class TestExpertFfn:
         out_gelu = expert_ffn(x, p, activation="gelu")
         out_relu = expert_ffn(x, p, activation="relu")
         assert not np.allclose(out_gelu, out_relu)
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+    def test_matches_einsum_reference(self, rng, activation, x_dtype,
+                                      w_dtype):
+        """The shared BLAS kernel against an independent einsum +
+        ``x ** 3`` tanh-GELU reference, with non-zero biases."""
+        e, c, m, v = 4, 6, 8, 16
+        p = ExpertParams(
+            w1=rng.normal(0, m ** -0.5, (e, m, v)).astype(w_dtype),
+            w2=rng.normal(0, v ** -0.5, (e, v, m)).astype(w_dtype),
+            b1=rng.normal(0, 0.5, (e, v)).astype(w_dtype),
+            b2=rng.normal(0, 0.5, (e, m)).astype(w_dtype))
+        x = rng.normal(size=(e, c, m)).astype(x_dtype)
+
+        h = np.einsum("ecm,emv->ecv", x, p.w1) + p.b1[:, None, :]
+        if activation == "gelu":
+            h = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                         * (h + 0.044715 * h ** 3)))
+        else:
+            h = np.maximum(h, 0.0)
+        ref = np.einsum("ecv,evm->ecm", h, p.w2) + p.b2[:, None, :]
+
+        out = expert_ffn(x, p, activation=activation)
+        assert out.dtype == ref.dtype == np.result_type(x_dtype, w_dtype)
+        if ref.dtype == np.float64:
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)
 
     def test_rejects_expert_mismatch(self, rng):
         p = ExpertParams.init(3, 8, 16, rng)

@@ -6,12 +6,17 @@ and produce the same numbers.  These tests assert elementwise
 equality between P1, P2 and the single-process reference.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor
+from repro.autograd.moe_ops import expert_ffn as fused_expert_ffn
 from repro.core.config import MoEConfig
 from repro.moe.capacity import CapacityPolicy
-from repro.moe.layer import MoELayerParams, moe_layer_forward
+from repro.moe.distributed import distributed_moe_forward
+from repro.moe.layer import MoELayerParams, expert_ffn, moe_layer_forward
 from repro.parallel.functional import (
     gather_zero_slices,
     p1_forward,
@@ -19,10 +24,11 @@ from repro.parallel.functional import (
     shard_expert_columns,
     slice_expert_zero,
 )
+from repro.runtime.executor import ACTIVATIONS
 
 
 def build(world=8, experts=2, tokens=16, m=12, v=24, k=1, f=2.0,
-          seed=0, activation="gelu"):
+          seed=0, activation="gelu", bias=False):
     rng = np.random.default_rng(seed)
     cfg = MoEConfig(world_size=world, experts_per_gpu=experts / world,
                     model_dim=m, hidden_dim=v, tokens_per_gpu=tokens,
@@ -31,6 +37,9 @@ def build(world=8, experts=2, tokens=16, m=12, v=24, k=1, f=2.0,
                                  hidden_dim=v, rng=rng,
                                  top_k=min(k, experts),
                                  activation=activation)
+    if bias:  # init makes zero biases; P2 splits b2 over its shards
+        params.experts.b1 = rng.normal(size=params.experts.b1.shape)
+        params.experts.b2 = rng.normal(size=params.experts.b2.shape)
     xs = [rng.normal(size=(tokens, m)) for _ in range(world)]
     return cfg, params, xs
 
@@ -74,16 +83,18 @@ class TestSwitchingEquivalence:
                                                  (8, 2, 2), (8, 4, 1),
                                                  (8, 1, 1)])
     def test_p1_equals_p2_equals_reference(self, world, experts, k):
-        cfg, params, xs = build(world=world, experts=experts, k=k)
-        ref = [moe_layer_forward(
-            x, params, capacity=CapacityPolicy(cfg.capacity_factor))
-            .output for x in xs]
-        p1 = p1_forward(xs, params, cfg)
-        p2 = p2_forward(xs, params, cfg)
-        for r in range(world):
-            np.testing.assert_allclose(p1[r], ref[r], atol=1e-12)
-            np.testing.assert_allclose(p2[r], ref[r], atol=1e-12)
-            np.testing.assert_allclose(p1[r], p2[r], atol=1e-12)
+        for bias in (False, True):
+            cfg, params, xs = build(world=world, experts=experts, k=k,
+                                    bias=bias)
+            ref = [moe_layer_forward(
+                x, params, capacity=CapacityPolicy(cfg.capacity_factor))
+                .output for x in xs]
+            p1 = p1_forward(xs, params, cfg)
+            p2 = p2_forward(xs, params, cfg)
+            for r in range(world):
+                np.testing.assert_allclose(p1[r], ref[r], atol=1e-12)
+                np.testing.assert_allclose(p2[r], ref[r], atol=1e-12)
+                np.testing.assert_allclose(p1[r], p2[r], atol=1e-12)
 
     def test_relu_activation_path(self):
         cfg, params, xs = build(activation="relu")
@@ -91,6 +102,27 @@ class TestSwitchingEquivalence:
         p2 = p2_forward(xs, params, cfg)
         for r in range(cfg.world_size):
             np.testing.assert_allclose(p1[r], p2[r], atol=1e-12)
+
+    def test_unknown_activation_raises_on_every_path(self):
+        """Every path raises the kernel's error; none falls back to
+        GELU for a name it does not know."""
+        # W = E, so the same layer also fits distributed_moe_forward.
+        cfg, params, xs = build(world=2, experts=2, activation="swish")
+        msg = re.escape(f"unknown activation 'swish'; expected one of "
+                        f"{ACTIVATIONS}")
+        calls = [
+            lambda: expert_ffn(np.ones((2, 3, 12)), params.experts,
+                               params.activation),
+            lambda: p1_forward(xs, params, cfg),
+            lambda: p2_forward(xs, params, cfg),
+            lambda: distributed_moe_forward(xs, params, cfg),
+            lambda: fused_expert_ffn(
+                Tensor(np.ones((2, 3, 12))), Tensor(params.experts.w1),
+                Tensor(params.experts.w2), params.activation),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=msg):
+                call()
 
     def test_with_token_dropping(self):
         # Even with capacity truncation both paths agree: the routing

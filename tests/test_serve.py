@@ -293,6 +293,19 @@ class TestEngine:
         assert res.metric("model_p99_ms").kind == "model"
         assert res.metric("measured_p99_ms").kind == "measured"
 
+    def test_queue_depth_matches_linear_scan(self):
+        """The engine counts waiting requests with a bisect over the
+        sorted trace; it must equal the plain scan it replaced."""
+        res = serve_workload(get_workload("diurnal_cycle"), fast=True,
+                             seed=0)
+        end = 0
+        for b in res.batches:
+            end += b.size
+            expected = sum(1 for r in res.requests[end:]
+                           if r.arrival_ns <= b.close_ns)
+            assert b.queue_depth == expected
+        assert max(b.queue_depth for b in res.batches) > 0
+
     def test_forced_slo_miss(self):
         res = serve_workload(get_workload("poisson_steady"),
                              fast=True, seed=0, p99_slo_ms=1e-6)
