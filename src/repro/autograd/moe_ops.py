@@ -5,6 +5,11 @@ Wraps the verified sparse fast encode/decode of :mod:`repro.moe.encode`
 locations are discrete and carry no gradient; the gate values *do* —
 the combine op returns gradients for both the expert outputs and the
 per-slot gates, which is how the router trains through the layer.
+
+The array-level halves — :func:`expert_ffn_arrays` (executor or serial
+expert FFN) and :func:`live_criteria` (the combine's live-gate
+routing) — are shared with the tape-free forward of
+:class:`repro.nn.moe.MoE`, so both paths run the same kernels.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from repro.runtime.executor import (
 )
 
 __all__ = ["moe_dispatch", "moe_combine", "batched_expert_ffn_input",
-           "expert_ffn"]
+           "expert_ffn", "expert_ffn_arrays", "live_criteria"]
 
 
 def moe_dispatch(x: Tensor, crit: RoutingCriteria) -> Tensor:
@@ -52,6 +57,20 @@ def moe_dispatch(x: Tensor, crit: RoutingCriteria) -> Tensor:
     return out
 
 
+def live_criteria(crit: RoutingCriteria,
+                  gates: np.ndarray) -> RoutingCriteria:
+    """``crit`` with its gates replaced by the live ``(k, T)`` values,
+    zeroed on the slots the capacity limit dropped."""
+    if gates.shape != crit.gates.shape:
+        raise ValueError(
+            f"gates shape {gates.shape} != crit gates "
+            f"{crit.gates.shape}")
+    return RoutingCriteria(idxs=crit.idxs, locations=crit.locations,
+                           gates=np.where(crit.valid, gates, 0.0),
+                           capacity=crit.capacity,
+                           num_experts=crit.num_experts)
+
+
 def moe_combine(expert_output: Tensor, gates: Tensor,
                 crit: RoutingCriteria) -> Tensor:
     """Weighted gather back to token order (fast_decode).
@@ -59,16 +78,9 @@ def moe_combine(expert_output: Tensor, gates: Tensor,
     ``gates`` must have the ``(k, T)`` layout of ``crit.gates``; the
     decode uses these live values, keeping the router differentiable.
     """
-    if gates.shape != crit.gates.shape:
-        raise ValueError(
-            f"gates shape {gates.shape} != crit gates "
-            f"{crit.gates.shape}")
     p = _prof.active()
     t0 = p.clock() if p is not None else 0.0
-    live = RoutingCriteria(idxs=crit.idxs, locations=crit.locations,
-                           gates=np.where(crit.valid, gates.data, 0.0),
-                           capacity=crit.capacity,
-                           num_experts=crit.num_experts)
+    live = live_criteria(crit, gates.data)
     out_data = fast_decode(expert_output.data, live)
 
     def backward(grad: np.ndarray) -> None:
@@ -127,6 +139,23 @@ def expert_ffn_cost(e: int, c: int, m: int, v: int, activation: str,
     return g1_f + a_f + g2_f, g1_b + a_b + g2_b
 
 
+def expert_ffn_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                      activation: str) -> tuple[np.ndarray, tuple | None]:
+    """Expert FFN forward on raw arrays: the multicore executor when one
+    is configured (:func:`repro.core.substrate.set_expert_workers`),
+    else the serial kernel.  A failing executor latches ``broken`` and
+    the call falls back to serial.  Returns ``(y, saved)``; ``saved``
+    is the serial kernel's backward cache, None after an executor run.
+    """
+    ex = get_executor()
+    if ex is not None:
+        try:
+            return ex.ffn_forward(x, w1, w2, activation), None
+        except Exception:
+            ex.broken = True
+    return ffn_forward_arrays(x, w1, w2, activation)
+
+
 def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
                activation: str = "gelu") -> Tensor:
     """Fused differentiable expert FFN: ``act(x @ w1) @ w2`` per expert.
@@ -142,17 +171,8 @@ def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
     p = _prof.active()
     t0 = p.clock() if p is not None else 0.0
     x_data, w1_data, w2_data = dispatched.data, w1.data, w2.data
-    ex = get_executor()
-    saved: tuple | None = None
-    if ex is not None:
-        try:
-            out_data = ex.ffn_forward(x_data, w1_data, w2_data, activation)
-        except Exception:
-            ex.broken = True
-            ex = None
-    if ex is None:
-        out_data, saved = ffn_forward_arrays(x_data, w1_data, w2_data,
-                                             activation)
+    out_data, saved = expert_ffn_arrays(x_data, w1_data, w2_data,
+                                        activation)
 
     def backward(grad: np.ndarray) -> None:
         ex_b = get_executor()

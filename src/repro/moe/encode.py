@@ -182,12 +182,17 @@ def fast_encode(x: np.ndarray, crit: RoutingCriteria) -> np.ndarray:
     """Sparse dispatch (kernel K0 forward): scatter tokens into
     ``(E, dC, M)`` capacity cells; ``O(T * k * M)`` work."""
     _check_tokens(x, crit)
-    tokens, cells, _ = _flat_routes(crit)
-    out = _POOL.zeros((crit.num_experts * crit.capacity, x.shape[1]),
-                      x.dtype)
-    # Queue positions are unique per expert, so '=' and '+=' agree.
-    out[cells] = x[tokens]
-    return out.reshape(crit.num_experts, crit.capacity, x.shape[1])
+    n = crit.num_experts * crit.capacity
+    live = crit.valid & (crit.gates != 0)
+    # Dropped routes land in one spare row past the real cells, so each
+    # slot is a single whole-batch scatter with no index compaction.
+    cells = np.where(live, crit.idxs * crit.capacity + crit.locations, n)
+    out = _POOL.zeros((n + 1, x.shape[1]), x.dtype)
+    # Queue positions are unique per expert, so no live cell is written
+    # twice.
+    for slot_cells in cells:
+        out[slot_cells] = x
+    return out[:n].reshape(crit.num_experts, crit.capacity, x.shape[1])
 
 
 def fast_encode_backward(grad_dispatched: np.ndarray,
@@ -216,10 +221,19 @@ def fast_decode(expert_output: np.ndarray,
     m = expert_output.shape[-1]
     flat = expert_output.reshape(-1, m)
     out = _POOL.zeros((crit.num_tokens, m), expert_output.dtype)
-    # Slot-by-slot scatter: within a slot token indices are unique,
-    # so fancy '+=' replaces the slow np.add.at.
-    for toks, cells, gates in _slot_routes(crit):
-        out[toks] += gates[:, None] * flat[cells]
+    live = crit.valid & (crit.gates != 0)
+    cells = crit.idxs * crit.capacity + crit.locations
+    # Slot-by-slot accumulation: within a slot token indices are
+    # unique, so fancy '+=' replaces the slow np.add.at, and a slot
+    # that kept every route needs no index at all.
+    for slot in range(crit.top_k):
+        sel = live[slot]
+        if sel.all():
+            out += crit.gates[slot][:, None] * flat[cells[slot]]
+        else:
+            toks = np.flatnonzero(sel)
+            out[toks] += (crit.gates[slot, toks][:, None]
+                          * flat[cells[slot, toks]])
     return out
 
 

@@ -49,7 +49,13 @@ def load_imbalance(crit: RoutingCriteria) -> float:
     reads as perfectly balanced, never a 0/0 NaN.
     """
     load = expert_load(crit).astype(np.float64)
-    mean = load.mean()
+    return _imbalance(load, load.sum())
+
+
+def _imbalance(load: np.ndarray, total: float) -> float:
+    """:func:`load_imbalance` of a float64 load vector summing to
+    ``total``."""
+    mean = total / load.size  # == load.mean(): the same sum and divide
     if mean == 0:
         return 1.0
     return float(load.max() / mean)
@@ -64,8 +70,13 @@ def load_gini(load: np.ndarray) -> float:
     tokens, or an empty vector — so online monitors never see NaN.
     """
     load = np.asarray(load, dtype=np.float64).reshape(-1)
+    return _gini(load, load.sum())
+
+
+def _gini(load: np.ndarray, total: float) -> float:
+    """:func:`load_gini` of a flat float64 load vector summing to
+    ``total``."""
     n = load.size
-    total = load.sum()
     if n <= 1 or total <= 0:
         return 0.0
     ordered = np.sort(load)
@@ -87,7 +98,13 @@ def routing_entropy(crit: RoutingCriteria,
     division is never evaluated).
     """
     load = expert_load(crit).astype(np.float64)
-    total = load.sum()
+    return _entropy(load, load.sum(), crit.num_experts, normalized)
+
+
+def _entropy(load: np.ndarray, total: float, num_experts: int,
+             normalized: bool = True) -> float:
+    """:func:`routing_entropy` of a float64 load vector summing to
+    ``total``."""
     if total == 0:
         return 0.0
     p = load / total
@@ -95,9 +112,9 @@ def routing_entropy(crit: RoutingCriteria,
     entropy = float(-(nz * np.log(nz)).sum())
     if not normalized:
         return entropy
-    if crit.num_experts <= 1:
+    if num_experts <= 1:
         return 1.0
-    return entropy / np.log(crit.num_experts)
+    return entropy / np.log(num_experts)
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,10 @@ def routing_stats(crit: RoutingCriteria,
 
     ``gate_probs`` (the ``(T, E)`` softmax output) adds the mean top-1
     confidence — the priority signal batch prioritized routing sorts
-    by; without it the selected-slot gates are used instead.
+    by; without it the selected-slot gates are used instead.  One pass:
+    the expert load, its total and the surviving-slot count are taken
+    once and every field comes from them, equal to the standalone
+    helpers.
     """
     if gate_probs is not None and gate_probs.shape != (
             crit.num_tokens, crit.num_experts):
@@ -155,19 +175,28 @@ def routing_stats(crit: RoutingCriteria,
     if crit.num_tokens == 0:
         confidence = 0.0  # .mean() over zero tokens would be NaN
     elif gate_probs is not None:
-        confidence = float(gate_probs.max(axis=1).mean())
+        # Row maxima as a column reduction of the transpose: the same
+        # values as ``max(axis=1)``, without a reduce per short row.
+        confidence = float(
+            np.ascontiguousarray(gate_probs.T).max(axis=0).mean())
     else:
         confidence = float(crit.gates.max(axis=0).mean())
     load = expert_load(crit)
+    fload = load.astype(np.float64)
+    total = fload.sum()
+    routes = crit.locations.size
+    # == crit.dropped_fraction(): an exact count over the same size.
+    dropped = (1.0 - int(np.count_nonzero(crit.valid)) / routes
+               if routes else 0.0)
     return RoutingStats(
         num_tokens=crit.num_tokens,
         num_experts=crit.num_experts,
         top_k=crit.top_k,
         capacity=crit.capacity,
-        dropped_fraction=crit.dropped_fraction(),
-        load_imbalance=load_imbalance(crit),
-        routing_entropy=routing_entropy(crit),
+        dropped_fraction=dropped,
+        load_imbalance=_imbalance(fload, total),
+        routing_entropy=_entropy(fload, total, crit.num_experts),
         needed_capacity=crit.max_needed_capacity(),
         mean_top1_confidence=confidence,
-        expert_load=tuple(int(c) for c in load),
-        load_gini=load_gini(load))
+        expert_load=tuple(load.tolist()),
+        load_gini=_gini(fload, total))

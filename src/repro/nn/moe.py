@@ -7,23 +7,36 @@ GShard load-balancing auxiliary loss is returned alongside the output.
 Supports the dynamic features of Section 4.1: per-call ``top_k``
 ("top-ANY") and dynamic capacity-factor semantics, plus the cosine
 router of Equation (2).
+
+One routing step serves two input types.  A :class:`Tensor` input
+records the softmax, gate normalisation, dispatch, expert FFN, combine
+and aux loss as tape nodes (training).  A plain ``np.ndarray`` input
+runs the same routing and the same array kernels with no autograd
+graph and returns ``(ndarray, float)`` — bit-identical to the Tensor
+path's data; the serving engine feeds arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.functional import softmax, take_along
+from repro.autograd import moe_ops
+from repro.autograd.functional import exp, softmax, take_along
 from repro.autograd.moe_ops import (
     expert_ffn,
     moe_combine,
     moe_dispatch,
 )
 from repro.autograd.tensor import Tensor
-from repro.moe.capacity import CapacityPolicy, resolve_capacity
+from repro.core.substrate import default_dtype
+from repro.moe import gating
+from repro.moe.capacity import (
+    CapacityPolicy,
+    needed_capacity_factor,
+    resolve_capacity,
+)
 from repro.moe.gating import RoutingCriteria, compute_locations
-from repro.moe.metrics import routing_stats
-from repro.moe.metrics import RoutingStats
+from repro.moe.metrics import RoutingStats, routing_stats
 from repro.nn.modules import Linear, Module
 from repro.obs import CAT_MOE, get_observer
 from repro.obs import profiler as _prof
@@ -145,97 +158,148 @@ class MoE(Module):
 
     # -- routing ----------------------------------------------------------
 
-    def _gate_logits(self, x: Tensor) -> Tensor:
+    def _gate_logits(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        # One set of expressions for both input types: a Tensor input
+        # uses the parameters themselves (tape nodes), an array input
+        # their arrays.
+        tape = isinstance(x, Tensor)
+
+        def param(t: Tensor) -> Tensor | np.ndarray:
+            return t if tape else t.data
+
         if self.router == "linear":
-            return self.gate(x)
-        projected = self.cosine_proj(x)
+            return x @ param(self.gate.weight)
+        projected = x @ param(self.cosine_proj.weight)
+        embed = param(self.expert_embed)
         p_norm = (projected * projected).sum(axis=1, keepdims=True) ** 0.5
-        e_norm = ((self.expert_embed * self.expert_embed)
-                  .sum(axis=1, keepdims=True) ** 0.5)
-        cosine = (projected @ self.expert_embed.T) / (p_norm @ e_norm.T
-                                                      + 1e-12)
-        from repro.autograd.functional import exp as _exp
+        e_norm = (embed * embed).sum(axis=1, keepdims=True) ** 0.5
+        cosine = (projected @ embed.T) / (p_norm @ e_norm.T + 1e-12)
         if float(np.exp(self.log_temperature.data)) <= 0.01:
             # Clamped regime: tau is pinned at the floor (paper: "set
             # lowest 0.01"), no gradient flows into it.
             return cosine * (1.0 / 0.01)
-        return cosine * _exp(-self.log_temperature)
+        neg_log_tau = -param(self.log_temperature)
+        return cosine * (exp(neg_log_tau) if tape
+                         else np.exp(neg_log_tau))
 
-    def forward(self, x: Tensor, top_k: int | None = None,
-                capacity_factor: float | None = None
-                ) -> tuple[Tensor, Tensor]:
-        """Returns ``(output, l_aux)``; both differentiable."""
-        if x.ndim != 2:
-            raise ValueError(f"x must be (T, M), got {x.shape}")
-        k = top_k if top_k is not None else self.top_k
-        policy = (CapacityPolicy(capacity_factor)
-                  if capacity_factor is not None else self.capacity_policy)
+    def _route(self, x: Tensor | np.ndarray, k: int,
+               policy: CapacityPolicy):
+        """The routing step both input types share.
+
+        Gate, failed-expert mask, softmax, top-k, capacity and queue
+        locations, then the routing stats, observer record and
+        ``last_*`` diagnostics.  Returns ``(probs, selected, crit)``:
+        the ``(T, E)`` probabilities and the ``(k, T)`` selected gate
+        values are tape Tensors for a Tensor input, arrays otherwise.
+        """
+        tape = isinstance(x, Tensor)
+        dtype = x.data.dtype if tape else x.dtype
         t = x.shape[0]
-
         with _span("gate", CAT_MOE), _prof.stage("gate"):
             logits = self._gate_logits(x)
             if self.failed_experts:
                 # Graceful degradation: a large negative logit zeroes
                 # the dead experts' probabilities, so selection and the
                 # aux loss see only survivors; k shrinks if needed.
-                mask = np.zeros((1, self.num_experts),
-                                dtype=logits.data.dtype)
+                mask = np.zeros((1, self.num_experts), dtype=dtype)
                 mask[0, sorted(self.failed_experts)] = -1e30
                 logits = logits + mask
                 k = min(k, self.num_experts - len(self.failed_experts))
-            probs = softmax(logits, axis=1)
+            if tape:
+                probs = softmax(logits, axis=1)
+                probs_data = probs.data
+            else:
+                probs = probs_data = gating.softmax(logits, axis=1)
 
             # Discrete routing decisions (outside the tape).
-            order = np.argsort(-probs.data, axis=1, kind="stable")[:, :k]
+            order = np.argsort(-probs_data, axis=1, kind="stable")[:, :k]
             idxs = order.T.copy()
-            from repro.moe.capacity import needed_capacity_factor
             self.last_needed_capacity_factor = needed_capacity_factor(
                 idxs, self.num_experts, t)
             cap, eff_f = resolve_capacity(policy, idxs, self.num_experts,
                                           tokens=t, top_k=k)
             self.last_effective_capacity_factor = eff_f
-            priority = (probs.data.max(axis=1)
+            priority = (probs_data.max(axis=1)
                         if self.batch_prioritized else None)
             locations = compute_locations(idxs, self.num_experts,
                                           priority=priority)
             crit = RoutingCriteria(
                 idxs=idxs, locations=locations,
-                gates=np.zeros_like(idxs, dtype=x.data.dtype),
+                gates=np.zeros_like(idxs, dtype=dtype),
                 capacity=cap, num_experts=self.num_experts)
-            self.last_dropped_fraction = crit.dropped_fraction()
-
-            # Differentiable gate values of the selected slots, (k, T).
-            # Normalization only applies for k > 1 (GShard); with k == 1
-            # the raw probability scales the expert output
-            # (Switch-style), which is the path the router's gradient
-            # flows through.
-            selected = take_along(probs, order, axis=1).T
-            if self.normalize_gate and k > 1:
-                selected = selected / (selected.sum(axis=0, keepdims=True)
-                                       + 1e-12)
             # Mark the selected routes live so the sparse kernels keep
             # them; real values come from `selected` at combine time.
-            crit.gates = crit.valid.astype(x.data.dtype)
+            crit.gates = crit.valid.astype(dtype)
 
-        self.last_routing_stats = routing_stats(crit, probs.data)
+            # Gate values of the selected slots, (k, T).  Normalization
+            # only applies for k > 1 (GShard); with k == 1 the raw
+            # probability scales the expert output (Switch-style),
+            # which is the path the router's gradient flows through.
+            selected = (take_along(probs, order, axis=1) if tape
+                        else np.take_along_axis(probs, order, axis=1)).T
+            if self.normalize_gate and k > 1:
+                # A substrate-dtype constant, as a Tensor operand would
+                # be coerced, so both input types divide the same bits.
+                eps = np.asarray(1e-12, dtype=default_dtype())
+                selected = selected / (selected.sum(axis=0, keepdims=True)
+                                       + eps)
+
+        stats = routing_stats(crit, probs_data)
+        self.last_routing_stats = stats
         self.last_routing_criteria = crit
+        self.last_dropped_fraction = stats.dropped_fraction
         ob = get_observer()
         if ob is not None:
-            ob.record_routing(self.last_routing_stats)
+            ob.record_routing(stats)
+        return probs, selected, crit
+
+    def forward(self, x: Tensor | np.ndarray, top_k: int | None = None,
+                capacity_factor: float | None = None
+                ) -> tuple[Tensor, Tensor] | tuple[np.ndarray, float]:
+        """Returns ``(output, l_aux)``.
+
+        Both are differentiable Tensors for a Tensor input.  A plain
+        ``(T, M)`` array is coerced to the substrate dtype, exactly as
+        ``Tensor(x)`` would coerce it, runs tape-free and returns
+        ``(ndarray, float)`` with the bits of ``forward(Tensor(x))``.
+        """
+        tape = isinstance(x, Tensor)
+        if not tape:
+            x = np.asarray(x, dtype=default_dtype())
+        if x.ndim != 2:
+            raise ValueError(f"x must be (T, M), got {x.shape}")
+        k = top_k if top_k is not None else self.top_k
+        policy = (CapacityPolicy(capacity_factor)
+                  if capacity_factor is not None else self.capacity_policy)
+        t = x.shape[0]
+        probs, selected, crit = self._route(x, k, policy)
 
         with _span("encode", CAT_MOE), _prof.stage("dispatch"):
-            dispatched = moe_dispatch(x, crit)
+            dispatched = (moe_dispatch(x, crit) if tape
+                          else moe_ops.fast_encode(x, crit))
         with _span("expert_ffn", CAT_MOE), _prof.stage("expert_ffn"):
-            # Fused op: act(x @ w1) @ w2 in one tape node; runs the E
-            # experts on the multicore executor when one is configured
+            # Fused act(x @ w1) @ w2; runs the E experts on the
+            # multicore executor when one is configured
             # (repro.core.substrate.set_expert_workers).
-            expert_out = expert_ffn(dispatched, self.w1, self.w2,
-                                    self.activation)
+            if tape:
+                expert_out = expert_ffn(dispatched, self.w1, self.w2,
+                                        self.activation)
+            else:
+                expert_out, _ = moe_ops.expert_ffn_arrays(
+                    dispatched, self.w1.data, self.w2.data,
+                    self.activation)
         with _span("decode", CAT_MOE), _prof.stage("combine"):
-            output = moe_combine(expert_out, selected, crit)
+            output = (moe_combine(expert_out, selected, crit) if tape
+                      else moe_ops.fast_decode(
+                          expert_out, moe_ops.live_criteria(crit, selected)))
 
         # GShard auxiliary loss: E * sum_e mean_prob(e) * routed_frac(e).
-        counts = np.bincount(idxs[0], minlength=self.num_experts)
-        routed_frac = Tensor(counts / t, dtype=x.data.dtype)
-        l_aux = (probs.mean(axis=0) * routed_frac).sum() * self.num_experts
-        return output, l_aux
+        counts = np.bincount(crit.idxs[0], minlength=self.num_experts)
+        routed_frac = (counts / t).astype(crit.gates.dtype)
+        if tape:
+            routed_frac = Tensor(routed_frac, dtype=routed_frac.dtype)
+        # Tensor.mean's arithmetic (the sum times 1 / T), not
+        # ndarray.mean's division, so both input types agree bitwise.
+        mean_prob = probs.sum(axis=0) * (1.0 / t)
+        l_aux = (mean_prob * routed_frac).sum() * self.num_experts
+        return output, (l_aux if tape else float(l_aux))

@@ -16,7 +16,9 @@ instead of shipping saved state between processes.
 
 :func:`ffn_forward_arrays` is the repo's one expert-FFN forward kernel.
 The workers, the serial autograd op
-:func:`repro.autograd.moe_ops.expert_ffn`, the tape-free
+:func:`repro.autograd.moe_ops.expert_ffn` and the tape-free
+:class:`repro.nn.moe.MoE` forward serving runs (both through
+:func:`repro.autograd.moe_ops.expert_ffn_arrays`), the tape-free
 :func:`repro.moe.layer.expert_ffn` (single-process layer, distributed
 layer, P1, Fairseq baseline) and P2's column shards all call it, so
 every path agrees numerically.

@@ -11,7 +11,9 @@ batcher and serves every batch **twice over, in one pass**:
   composition, queue depths, and the SLO percentiles are bit-stable
   across machines — gateable with tolerance 0;
 * the **measured column** runs the batch through the real NumPy MoE
-  stack and reads the four stage walls from the observer's
+  stack — the tape-free forward of :class:`repro.nn.moe.MoE`, plain
+  arrays in and out, no autograd graph per batch — and reads the
+  four stage walls from the observer's
   ``moe.gate`` / ``moe.encode`` / ``moe.expert_ffn`` / ``moe.decode``
   histogram deltas.  Wall-clock numbers ride along in every artifact
   (HetuMoE methodology) but never steer the clock and never gate
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
 from repro.bench.report import Metric
 from repro.nn.moe import MoE
 from repro.obs import CAT_SERVE, Observer, get_observer
@@ -318,8 +319,8 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
     former = BatchFormer(wl.max_batch_size,
                          max_wait_ns=round(wl.max_wait_ms * 1e6))
     loads = [[0] * wl.num_experts for _ in range(wl.num_layers)]
-    dropped_tokens = 0
-    routed_tokens = 0
+    dropped_routes = 0
+    total_routes = 0
     routing_rec = RoutingRecorder(wl.num_layers, wl.num_experts)
 
     hist_model = Histogram(f"serve.{wl.name}.model_ms")
@@ -351,27 +352,26 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
         derate = wl.brownout.factor if active else 1.0
         model_walls = price_stages(wl, batch.tokens, comm_derate=derate)
 
-        # The measured column: a real forward through the MoE stack.
+        # The measured column: a real tape-free forward through the
+        # MoE stack, arrays chained layer to layer (the first layer
+        # coerces the batch to the substrate dtype).
         parts = [np.random.default_rng(r.seed)
                  .standard_normal((r.tokens, wl.model_dim))
                  for r in batch.requests]
-        x = Tensor(np.concatenate(parts, axis=0))
+        x = np.concatenate(parts)
         before = _measured_walls(ob)
         batch_crits = []
         for li, layer in enumerate(layers):
             x, _ = layer.forward(x)
-            batch_crits.append(layer.last_routing_criteria)
-            stats = layer.last_routing_stats
-            if stats is not None:
-                for e, n in enumerate(stats.expert_load):
-                    loads[li][e] += int(n)
-                routed_tokens += stats.num_tokens
-                dropped_tokens += round(stats.dropped_fraction
-                                        * stats.num_tokens)
-        if all(c is not None for c in batch_crits):
-            routing_rec.observe_batch(batch_crits)
-            if run is not None:
-                routing_rec.emit(run, step=batch_id)
+            crit = layer.last_routing_criteria
+            batch_crits.append(crit)
+            for e, n in enumerate(layer.last_routing_stats.expert_load):
+                loads[li][e] += n
+            total_routes += crit.idxs.size
+            dropped_routes += int((~crit.valid).sum())
+        routing_rec.observe_batch(batch_crits)
+        if run is not None:
+            routing_rec.emit(run, step=batch_id)
         after = _measured_walls(ob)
         walls = {s: max(0, round((after[s] - before[s]) * NS))
                  for s in EXEC_STAGES}
@@ -445,7 +445,7 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
 
     result.wall_seconds = time.perf_counter() - t_wall0
     _finish(wl, result, hist_model, hist_measured, loads,
-            routed_tokens, dropped_tokens, run,
+            total_routes, dropped_routes, run,
             p99_slo_ms=p99_slo_ms)
 
 
@@ -461,7 +461,7 @@ def _gini(load: list[int]) -> float:
 
 def _finish(wl: ServeWorkload, result: ServeResult,
             hist_model: Histogram, hist_measured: Histogram,
-            loads, routed_tokens: int, dropped_tokens: int, run, *,
+            loads, total_routes: int, dropped_routes: int, run, *,
             p99_slo_ms: float | None) -> None:
     result.expert_load = [list(row) for row in loads]
     makespan_ns = result.batches[-1].done_ns
@@ -472,8 +472,9 @@ def _finish(wl: ServeWorkload, result: ServeResult,
     goodput = on_time / result.makespan_s
     model_p = {q: hist_model.quantile(q) for q in (0.50, 0.95, 0.99)}
     meas_p = {q: hist_measured.quantile(q) for q in (0.50, 0.95, 0.99)}
-    dropped_fraction = (dropped_tokens / routed_tokens
-                        if routed_tokens else 0.0)
+    # Exact dropped (token, slot) routes over all routes, every layer.
+    dropped_fraction = (dropped_routes / total_routes
+                        if total_routes else 0.0)
     load_gini = _gini([n for row in loads for n in row])
 
     p99_bound = p99_slo_ms if p99_slo_ms is not None else wl.slo.p99_ms

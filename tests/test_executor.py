@@ -208,3 +208,21 @@ class TestSubstrateWiring:
         y_ser, _ = ffn_forward_arrays(xt.data, w1t.data, w2t.data, "gelu")
         np.testing.assert_array_equal(y.data, y_ser)
         assert xt.grad is not None
+
+    def test_tape_free_moe_forward_uses_executor(self):
+        # The array input of nn.MoE (the serving path) shares the
+        # executor-or-serial choice with the autograd op.
+        from repro.nn.moe import MoE
+
+        rng = np.random.default_rng(3)
+        moe = MoE(6, 10, 4, rng, top_k=2, capacity_factor=1.5)
+        x = rng.normal(size=(24, 6)).astype(moe.w1.data.dtype)
+        serial, _ = moe(x)
+        try:
+            with expert_parallelism(2):
+                parallel, _ = moe(x)
+                ex = get_executor()
+                assert ex is not None and ex.calls == 1
+        finally:
+            shutdown_executor()
+        np.testing.assert_array_equal(serial, parallel)

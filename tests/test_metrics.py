@@ -182,3 +182,44 @@ class TestEmptyBatchStats:
         assert stats.load_gini == 0.0
         assert stats.needed_capacity_factor == 0.0  # documented: empty
         assert stats.expert_load == (0, 0, 0, 0)
+
+
+class TestOnePassStats:
+    """``routing_stats`` counts the load once; every field must equal
+    the standalone helpers' value exactly."""
+
+    @staticmethod
+    def _from_helpers(crit, probs):
+        load = expert_load(crit)
+        confidence = (float(probs.max(axis=1).mean()) if crit.num_tokens
+                      else 0.0)
+        return RoutingStats(
+            num_tokens=crit.num_tokens, num_experts=crit.num_experts,
+            top_k=crit.top_k, capacity=crit.capacity,
+            dropped_fraction=crit.dropped_fraction(),
+            load_imbalance=load_imbalance(crit),
+            routing_entropy=routing_entropy(crit),
+            needed_capacity=crit.max_needed_capacity(),
+            mean_top1_confidence=confidence,
+            expert_load=tuple(int(c) for c in load),
+            load_gini=load_gini(load))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_standalone_helpers(self, seed):
+        rng = np.random.default_rng(seed)
+        e = int(rng.integers(1, 9))
+        t = int(rng.choice([0, 1, 5, 40]))
+        k = int(rng.integers(1, e + 1))
+        probs = softmax(rng.normal(size=(t, e)) * 3.0)
+        crit = top_k_routing(probs, k, capacity=int(rng.integers(1, 12)),
+                             batch_prioritized=bool(seed % 2))
+        assert routing_stats(crit, probs) == self._from_helpers(crit,
+                                                                probs)
+
+    @pytest.mark.parametrize("t, e", [(0, 4), (16, 1), (0, 1)])
+    def test_degenerate_shapes(self, t, e):
+        probs = softmax(np.random.default_rng(0).normal(size=(t, e)))
+        crit = top_k_routing(probs, 1, capacity=4)
+        with np.errstate(all="raise"):
+            assert routing_stats(crit, probs) == self._from_helpers(
+                crit, probs)

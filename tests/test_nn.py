@@ -193,6 +193,99 @@ class TestMoEModule:
             moe(Tensor(rng.normal(size=(4, 8, 2))))
 
 
+class TestTapeFreeForward:
+    """An ``np.ndarray`` input runs the same routing and kernels with no
+    autograd graph; its output must be the Tensor path's data, bit for
+    bit, with identical diagnostics."""
+
+    CASES = {
+        "k1": dict(top_k=1),
+        "k2": dict(),
+        "k3": dict(top_k=3),
+        "adaptive": dict(capacity_factor=0.0),
+        "bounded_adaptive": dict(capacity_factor=-2.0),
+        "dropping": dict(capacity_factor=0.5),
+        "bpr": dict(batch_prioritized=True, capacity_factor=0.5),
+        "bpr_k1": dict(batch_prioritized=True, top_k=1,
+                       capacity_factor=1.25),
+        "failed_expert": dict(fail=2),
+        "cosine": dict(router="cosine"),
+        "cosine_k1_bpr": dict(router="cosine", top_k=1,
+                              batch_prioritized=True),
+        "relu": dict(activation="relu", capacity_factor=1.0),
+    }
+
+    @staticmethod
+    def _diagnostics(moe):
+        crit = moe.last_routing_criteria
+        return (moe.last_needed_capacity_factor,
+                moe.last_effective_capacity_factor,
+                moe.last_dropped_fraction, moe.last_routing_stats,
+                crit.capacity, crit.idxs.tolist(),
+                crit.locations.tolist(), crit.gates.tolist())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_array_forward_is_bitwise_tensor_forward(self, case, dtype):
+        from repro.core.substrate import substrate_dtype
+
+        kwargs = dict(self.CASES[case])
+        fail = kwargs.pop("fail", None)
+        with substrate_dtype(dtype):
+            rng = np.random.default_rng(7)
+            moe = MoE(8, 16, 6, rng, **{"top_k": 2,
+                                         "capacity_factor": 1.0,
+                                         **kwargs})
+            if fail is not None:
+                moe.fail_expert(fail)
+            x = rng.normal(size=(40, 8)).astype(dtype)
+            out_t, aux_t = moe(Tensor(x))
+            expected = self._diagnostics(moe)
+            out_a, aux_a = moe(x)
+        assert type(out_a) is np.ndarray and type(aux_a) is float
+        assert out_a.dtype == out_t.data.dtype == dtype
+        assert out_a.tobytes() == out_t.data.tobytes()
+        assert aux_a == float(aux_t.data)
+        assert self._diagnostics(moe) == expected
+
+    def test_array_is_coerced_like_a_tensor(self):
+        # A float64 array under a float32 substrate runs at float32,
+        # exactly as Tensor(x) coerces it.
+        from repro.core.substrate import substrate_dtype
+
+        with substrate_dtype(np.float32):
+            rng = np.random.default_rng(3)
+            moe = MoE(8, 16, 6, rng, top_k=2, capacity_factor=0.5)
+            x = rng.normal(size=(40, 8))
+            out_t, aux_t = moe(Tensor(x))
+            expected = self._diagnostics(moe)
+            out_a, aux_a = moe(x)
+        assert x.dtype == np.float64
+        assert out_a.dtype == out_t.data.dtype == np.float32
+        assert out_a.tobytes() == out_t.data.tobytes()
+        assert aux_a == float(aux_t.data)
+        assert self._diagnostics(moe) == expected
+
+    def test_array_forward_records_no_tape_nodes(self, rng, monkeypatch):
+        created = []
+        original = Tensor.from_op
+
+        def counting(data, parents, backward):
+            created.append(1)
+            return original(data, parents, backward)
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(counting))
+        moe = MoE(8, 16, 4, rng, router="cosine")
+        moe(rng.normal(size=(16, 8)))
+        assert created == []
+        moe(Tensor(rng.normal(size=(16, 8))))
+        assert created
+
+    def test_array_forward_rejects_bad_input(self, rng):
+        moe = MoE(8, 16, 4, rng)
+        with pytest.raises(ValueError):
+            moe(rng.normal(size=(4, 8, 2)))
+
+
 class TestClassifiers:
     def test_dense_forward(self, rng):
         model = DenseClassifier(6, 8, 16, 5, num_blocks=2, rng=rng)

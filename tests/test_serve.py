@@ -11,7 +11,10 @@ The load-bearing contracts:
   is integer arithmetic, so dtype must not matter);
 * the engine's modeled column is bit-identical across repeated runs
   and reacts to the brownout window;
-* the forced-SLO-miss hook flips the verdict.
+* the forced-SLO-miss hook flips the verdict;
+* the measured column runs the tape-free ``nn.MoE`` forward: no
+  autograd nodes, same routing as the Tensor forward, and an exact
+  dropped-route fraction.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.autograd.tensor import Tensor
 from repro.core.substrate import set_default_dtype
+from repro.nn.moe import MoE
 from repro.scenarios.engine import SLOCheck
 from repro.serve import (
     ArrivalSpec,
@@ -343,6 +348,51 @@ class TestEngine:
                    for row in res.expert_load)
         total_routed = sum(sum(row) for row in res.expert_load)
         assert total_routed > 0
+
+    def test_serving_builds_no_autograd_graph(self, monkeypatch):
+        created = []
+        original = Tensor.from_op
+
+        def counting(data, parents, backward):
+            created.append(1)
+            return original(data, parents, backward)
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(counting))
+        res = serve_workload(get_workload("bursty_spike"), fast=True,
+                             seed=3)
+        assert res.batches and created == []
+
+    def test_tape_free_routing_matches_tensor_forward(self, monkeypatch):
+        wl = get_workload("bursty_spike")
+        tape_free = serve_workload(wl, fast=True, seed=3)
+        original = MoE.forward
+
+        def tensor_forward(self, x, **kwargs):
+            out, l_aux = original(self, Tensor(x), **kwargs)
+            return out.data, float(l_aux.data)
+        monkeypatch.setattr(MoE, "forward", tensor_forward)
+        taped = serve_workload(wl, fast=True, seed=3)
+        assert tape_free.expert_load == taped.expert_load
+        assert ([(m.name, m.value) for m in tape_free.metrics
+                 if m.kind == "model"]
+                == [(m.name, m.value) for m in taped.metrics
+                    if m.kind == "model"])
+
+    @pytest.mark.parametrize("name", ["bursty_spike", "brownout_surge"])
+    def test_dropped_fraction_counts_every_route(self, name,
+                                                 monkeypatch):
+        crits = []
+        original = MoE.forward
+
+        def recording(self, x, **kwargs):
+            out = original(self, x, **kwargs)
+            crits.append(self.last_routing_criteria)
+            return out
+        monkeypatch.setattr(MoE, "forward", recording)
+        res = serve_workload(get_workload(name), fast=True, seed=0)
+        dropped = sum(int((~c.valid).sum()) for c in crits)
+        routes = sum(c.idxs.size for c in crits)
+        assert dropped > 0
+        assert res.metric("dropped_fraction").value == dropped / routes
 
     def test_slo_check_semantics(self):
         assert SLOCheck("x", 1.0, 2.0, "<=").passed
