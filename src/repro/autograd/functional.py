@@ -12,6 +12,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.obs import profiler as _prof
 from repro.obs.profiler import OpCost
+from repro.runtime.executor import _act_forward, _act_grad
 
 __all__ = [
     "relu",
@@ -45,37 +46,18 @@ def relu(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximated GELU with its exact derivative."""
+    """Tanh-approximated GELU with its exact derivative.
+
+    Runs the expert-FFN kernel's activation, so a dense block and an
+    expert apply bitwise the same GELU.
+    """
     p = _prof.active()
     t0 = p.clock() if p is not None else 0.0
-    c = np.sqrt(2.0 / np.pi)
     xd = x.data
-    # Cubing through the generic pow kernel is ~20x slower than two
-    # multiplies; this op dominates expert-FFN wall time, so the
-    # polynomial is built from muls with in-place chaining.
-    inner = xd * xd
-    inner *= xd
-    inner *= 0.044715
-    inner += xd
-    inner *= c
-    t = np.tanh(inner)
-    out_data = t + 1.0
-    out_data *= xd
-    out_data *= 0.5
+    out_data, t = _act_forward(xd, "gelu")
 
     def backward(grad: np.ndarray) -> None:
-        d_inner = xd * xd
-        d_inner *= 3 * 0.044715
-        d_inner += 1.0
-        d_inner *= c
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        d *= d_inner
-        d *= xd
-        d += 1.0
-        d += t
-        d *= 0.5
-        x._accumulate(grad * d)
+        x._accumulate(grad * _act_grad(xd, t, "gelu"))
     out = Tensor.from_op(out_data, (x,), backward)
     if p is not None:
         fwd, bwd = _prof.elementwise_cost("gelu", out_data.size, 1,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.substrate import default_dtype
 from repro.moe.capacity import CapacityPolicy, resolve_capacity
 from repro.moe.encode import dense_decode, dense_encode, fast_decode, fast_encode
 from repro.moe.gating import (
@@ -37,6 +38,12 @@ __all__ = [
     "MoEOutput",
     "moe_layer_forward",
 ]
+
+
+def _normal(rng: np.random.Generator, scale: float,
+            shape: tuple[int, ...]) -> np.ndarray:
+    """Float64 normal variates cast to the substrate dtype."""
+    return rng.normal(0.0, scale, shape).astype(default_dtype(), copy=False)
 
 
 @dataclass
@@ -77,14 +84,19 @@ class ExpertParams:
     def init(num_experts: int, model_dim: int, hidden_dim: int,
              rng: np.random.Generator, scale: float | None = None
              ) -> "ExpertParams":
-        """He-style initialization of all experts."""
+        """He-style initialization of all experts, in the substrate dtype.
+
+        The variates are drawn in float64 and cast, so ``rng`` advances
+        exactly as it does under either substrate dtype.
+        """
+        dt = default_dtype()
         s1 = scale or (2.0 / model_dim) ** 0.5
         s2 = scale or (2.0 / hidden_dim) ** 0.5
         return ExpertParams(
-            w1=rng.normal(0.0, s1, (num_experts, model_dim, hidden_dim)),
-            w2=rng.normal(0.0, s2, (num_experts, hidden_dim, model_dim)),
-            b1=np.zeros((num_experts, hidden_dim)),
-            b2=np.zeros((num_experts, model_dim)),
+            w1=_normal(rng, s1, (num_experts, model_dim, hidden_dim)),
+            w2=_normal(rng, s2, (num_experts, hidden_dim, model_dim)),
+            b1=np.zeros((num_experts, hidden_dim), dtype=dt),
+            b2=np.zeros((num_experts, model_dim), dtype=dt),
         )
 
 
@@ -135,14 +147,15 @@ class MoELayerParams:
     def init(num_experts: int, model_dim: int, hidden_dim: int,
              rng: np.random.Generator, router: str = "linear",
              router_dim: int = 256, **kwargs) -> "MoELayerParams":
+        """Random layer in the substrate dtype (see ``ExpertParams.init``)."""
         experts = ExpertParams.init(num_experts, model_dim, hidden_dim, rng)
-        gate = rng.normal(0.0, model_dim ** -0.5, (model_dim, num_experts))
+        gate = _normal(rng, model_dim ** -0.5, (model_dim, num_experts))
         cosine_proj = cosine_embed = None
         if router == "cosine":
-            cosine_proj = rng.normal(0.0, model_dim ** -0.5,
-                                     (model_dim, router_dim))
-            cosine_embed = rng.normal(0.0, router_dim ** -0.5,
-                                      (num_experts, router_dim))
+            cosine_proj = _normal(rng, model_dim ** -0.5,
+                                  (model_dim, router_dim))
+            cosine_embed = _normal(rng, router_dim ** -0.5,
+                                   (num_experts, router_dim))
         return MoELayerParams(experts=experts, gate_weight=gate,
                               router=router, cosine_proj=cosine_proj,
                               cosine_embed=cosine_embed, **kwargs)

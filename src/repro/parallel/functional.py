@@ -98,11 +98,16 @@ def shard_expert_columns(experts: ExpertParams, expert: int,
 
 def slice_expert_zero(experts: ExpertParams, expert: int,
                       shards: int) -> list[dict[str, np.ndarray]]:
-    """ZeRO-style flat parameter slices of one expert (P1 placement)."""
+    """ZeRO-style flat parameter slices of one expert (P1 placement).
+
+    A missing bias pads with an empty array of the weights' dtype, so
+    the flat slice keeps that dtype.
+    """
+    empty = np.empty(0, dtype=experts.w1.dtype)
     flat = np.concatenate([
         experts.w1[expert].ravel(), experts.w2[expert].ravel(),
-        np.array([]) if experts.b1 is None else experts.b1[expert],
-        np.array([]) if experts.b2 is None else experts.b2[expert]])
+        empty if experts.b1 is None else experts.b1[expert],
+        empty if experts.b2 is None else experts.b2[expert]])
     pieces = np.array_split(flat, shards)
     return [{"slice": p} for p in pieces]
 

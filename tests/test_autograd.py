@@ -132,6 +132,23 @@ class TestNonlinearities:
     def test_gelu(self):
         check_grad(gelu, RNG.normal(size=(4, 4)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_is_the_expert_kernel_activation(self, dtype):
+        """Dense blocks and experts apply bitwise the same GELU, forward
+        and backward, at both substrate dtypes."""
+        from repro.runtime.executor import _act_forward, _act_grad
+        rng = np.random.default_rng(3)
+        x = rng.normal(scale=2.0, size=(64, 128)).astype(dtype)
+        grad = rng.normal(size=x.shape).astype(dtype)
+        t = Tensor(x, requires_grad=True, dtype=dtype)
+        out = gelu(t)
+        out.backward(grad)
+        ref, cache = _act_forward(x, "gelu")
+        assert out.data.dtype == t.grad.dtype == dtype
+        assert out.data.tobytes() == ref.tobytes()
+        assert t.grad.tobytes() == (grad * _act_grad(x, cache, "gelu")
+                                    ).tobytes()
+
     def test_tanh(self):
         check_grad(tanh, RNG.normal(size=(3, 3)))
 

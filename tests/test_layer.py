@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.substrate import substrate_dtype
 from repro.moe.capacity import CapacityPolicy
 from repro.moe.layer import (
     ExpertParams,
@@ -38,6 +39,48 @@ class TestExpertParams:
         with pytest.raises(ValueError):
             ExpertParams(w1=rng.normal(size=(2, 4, 8)),
                          w2=rng.normal(size=(2, 4, 8)))
+
+
+def _layer_arrays(params):
+    e = params.experts
+    return [e.w1, e.w2, e.b1, e.b2, params.gate_weight,
+            params.cosine_proj, params.cosine_embed]
+
+
+class TestInitDtype:
+    """The factories allocate in the substrate dtype from the same
+    float64 variates, so the random stream is dtype independent."""
+
+    @staticmethod
+    def _init(dtype, seed=5):
+        rng = np.random.default_rng(seed)
+        with substrate_dtype(dtype):
+            params = MoELayerParams.init(num_experts=4, model_dim=8,
+                                         hidden_dim=16, rng=rng,
+                                         router="cosine", router_dim=6)
+        return params, rng.bit_generator.state
+
+    def test_float32_is_float64_cast_and_keeps_stream(self):
+        p32, state32 = self._init(np.float32)
+        p64, state64 = self._init(np.float64)
+        assert state32 == state64
+        for a32, a64 in zip(_layer_arrays(p32), _layer_arrays(p64)):
+            assert a32.dtype == np.float32 and a64.dtype == np.float64
+            assert a32.tobytes() == a64.astype(np.float32).tobytes()
+
+    def test_float64_draws_are_the_raw_normals(self):
+        params, _ = self._init(np.float64)
+        rng = np.random.default_rng(5)
+        expected = [
+            rng.normal(0.0, (2.0 / 8) ** 0.5, (4, 8, 16)),
+            rng.normal(0.0, (2.0 / 16) ** 0.5, (4, 16, 8)),
+            np.zeros((4, 16)), np.zeros((4, 8)),
+            rng.normal(0.0, 8 ** -0.5, (8, 4)),
+            rng.normal(0.0, 8 ** -0.5, (8, 6)),
+            rng.normal(0.0, 6 ** -0.5, (4, 6))]
+        for got, want in zip(_layer_arrays(params), expected):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 class TestExpertFfn:

@@ -13,10 +13,17 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.autograd.moe_ops import expert_ffn as fused_expert_ffn
+from repro.baselines.fairseq_moe import fairseq_moe_forward
 from repro.core.config import MoEConfig
+from repro.core.substrate import substrate_dtype
 from repro.moe.capacity import CapacityPolicy
 from repro.moe.distributed import distributed_moe_forward
-from repro.moe.layer import MoELayerParams, expert_ffn, moe_layer_forward
+from repro.moe.layer import (
+    ExpertParams,
+    MoELayerParams,
+    expert_ffn,
+    moe_layer_forward,
+)
 from repro.parallel.functional import (
     gather_zero_slices,
     p1_forward,
@@ -76,6 +83,59 @@ class TestParameterPlacement:
                     + params.experts.b1[0].size
                     + params.experts.b2[0].size)
         assert total == expected
+
+    def test_bias_free_float32_slices_stay_float32(self):
+        cfg, params, xs = build()
+        e = params.experts
+        params.experts = ExpertParams(w1=e.w1.astype(np.float32),
+                                      w2=e.w2.astype(np.float32))
+        xs = [x.astype(np.float32) for x in xs]
+        full = gather_zero_slices(slice_expert_zero(params.experts, 1, 4),
+                                  params.experts, 1)
+        assert full.w1.dtype == full.w2.dtype == np.float32
+        assert full.b1 is None and full.b2 is None
+        np.testing.assert_array_equal(full.w1[0], params.experts.w1[1])
+        p1 = p1_forward(xs, params, cfg)
+        p2 = p2_forward(xs, params, cfg)
+        policy = CapacityPolicy(cfg.capacity_factor)
+        for x, y1, y2 in zip(xs, p1, p2):
+            ref = moe_layer_forward(x, params, capacity=policy).output
+            assert y1.dtype == np.float32
+            np.testing.assert_allclose(y1, y2, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(y1, ref, rtol=1e-5, atol=1e-6)
+
+
+class TestDtypeClosure:
+    """Params from ``MoELayerParams.init`` and inputs in the substrate
+    dtype stay in it through every functional MoE path."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("router", ["linear", "cosine"])
+    def test_every_path_returns_the_substrate_dtype(self, dtype, router):
+        rng = np.random.default_rng(11)
+        cfg = MoEConfig(world_size=4, experts_per_gpu=1, model_dim=12,
+                        hidden_dim=24, tokens_per_gpu=16, top_k=2,
+                        capacity_factor=2.0)
+        shared = cfg.with_(experts_per_gpu=0.5)
+        with substrate_dtype(dtype):
+            ep = MoELayerParams.init(4, 12, 24, rng, router=router,
+                                     router_dim=8)
+            sh = MoELayerParams.init(2, 12, 24, rng, router=router,
+                                     router_dim=8)
+        xs = [rng.normal(size=(16, 12)).astype(dtype) for _ in range(4)]
+        policy = CapacityPolicy(2.0)
+        outputs = {
+            "layer": [moe_layer_forward(xs[0], ep, capacity=policy).output],
+            "fairseq": [fairseq_moe_forward(xs[0], ep,
+                                            capacity_factor=2.0).output],
+            "flexible": distributed_moe_forward(xs, ep, cfg).outputs,
+            "raw": distributed_moe_forward(xs, ep, cfg,
+                                           flexible=False).outputs,
+            "p1": p1_forward(xs, sh, shared),
+            "p2": p2_forward(xs, sh, shared),
+        }
+        for path, ys in outputs.items():
+            assert {y.dtype for y in ys} == {np.dtype(dtype)}, path
 
 
 class TestSwitchingEquivalence:
